@@ -58,27 +58,37 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.Int64Var(&o.size, "size", 1<<30, "file size in bytes")
-	flag.DurationVar(&o.failAt, "fail", 3*time.Second, "when to kill the primary (0 = never)")
-	flag.StringVar(&o.fault, "fault", "failstop", "fault kind: failstop, mem, bus, coherency")
-	flag.BoolVar(&o.relaxed, "relaxed", false, "use relaxed output commit (§3.5)")
-	flag.Int64Var(&o.seed, "seed", 1, "simulation seed")
-	flag.StringVar(&o.trace, "trace", "", "write a Chrome/Perfetto trace of the run to this file")
-	flag.StringVar(&o.events, "events", "", "write the raw event stream as JSONL to this file (ftdiag input)")
-	flag.StringVar(&o.chaosSpec, "chaos", "", "chaos schedule (preset name or spec); enables backup rejoin")
-	flag.Int64Var(&o.chaosSeed, "chaos-seed", 42, "seed for the chaos injector's RNG stream")
-	flag.DurationVar(&o.rejoinDelay, "rejoin-delay", 10*time.Second, "partition repair time before a backup rejoins")
-	flag.StringVar(&o.flight, "flight", "", "write the failover flight-recorder dump to this file")
-	flag.IntVar(&o.shards, "shards", 1, "det-section sequencer shards (1 = the global-mutex total order)")
-	flag.BoolVar(&o.adaptive, "adaptive", false, "adaptive det-log batching (AIMD controller instead of the static batch size)")
-	flag.IntVar(&o.replicas, "replicas", 2, "replica-set size: one primary plus n-1 backups on balanced fault domains")
-	flag.IntVar(&o.quorum, "quorum", 0, "output-commit quorum counting the primary (0 = majority of the set)")
-	flag.Parse()
-	if err := run(o); err != nil {
+	o, err := parseFlags(os.Args[1:])
+	if err == nil {
+		err = run(o)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftsim:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags turns a command line into run options.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("ftsim", flag.ExitOnError)
+	fs.Int64Var(&o.size, "size", 1<<30, "file size in bytes")
+	fs.DurationVar(&o.failAt, "fail", 3*time.Second, "when to kill the primary (0 = never)")
+	fs.StringVar(&o.fault, "fault", "failstop", "fault kind: failstop, mem, bus, coherency")
+	fs.BoolVar(&o.relaxed, "relaxed", false, "use relaxed output commit (§3.5)")
+	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
+	fs.StringVar(&o.trace, "trace", "", "write a Chrome/Perfetto trace of the run to this file")
+	fs.StringVar(&o.events, "events", "", "write the raw event stream as JSONL to this file (ftdiag input)")
+	fs.StringVar(&o.chaosSpec, "chaos", "", "chaos schedule (preset name or spec); enables backup rejoin")
+	fs.Int64Var(&o.chaosSeed, "chaos-seed", 42, "seed for the chaos injector's RNG stream")
+	fs.DurationVar(&o.rejoinDelay, "rejoin-delay", 10*time.Second, "partition repair time before a backup rejoins")
+	fs.StringVar(&o.flight, "flight", "", "write the failover flight-recorder dump to this file")
+	fs.IntVar(&o.shards, "shards", 1, "det-section sequencer shards (1 = the global-mutex total order)")
+	fs.BoolVar(&o.adaptive, "adaptive", false, "adaptive det-log batching (AIMD controller instead of the static batch size)")
+	fs.IntVar(&o.replicas, "replicas", 2, "replica-set size: one primary plus n-1 backups on balanced fault domains")
+	fs.IntVar(&o.quorum, "quorum", 0, "output-commit quorum counting the primary (0 = majority of the set)")
+	err := fs.Parse(args)
+	return o, err
 }
 
 func faultKind(name string) (hw.FaultKind, error) {

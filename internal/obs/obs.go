@@ -94,8 +94,8 @@ const (
 	OutputReleased
 	// KernelPanic is a kernel dying (Note = cause).
 	KernelPanic
-	// LogDrop is log discarded past the stable point at promotion, or
-	// in-flight mailbox messages lost to a coherency fault (Arg = count).
+	// LogDrop is in-flight mailbox messages lost to a coherency fault
+	// (Arg = count).
 	LogDrop
 	// StateChange is a System lifecycle transition (Seq = new
 	// core.LifecycleState, Note = "old->new").

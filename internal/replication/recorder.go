@@ -91,11 +91,11 @@ type replicaLink struct {
 // — the conservative rule that also covers a future voting configuration.
 //
 // With Config.DetShards == 1 there is a single lock — the namespace-wide
-// global mutex of Figure 3 — and recording is byte-identical to the
-// unsharded engine. With more shards each sequencing object hashes to one
-// lock, sections on different objects run concurrently, and every tuple
-// carries its object's own Seq_obj; GlobalSeq degrades to a Lamport
+// global mutex of Figure 3 — and GlobalSeq is the recorded total order.
+// With more shards each sequencing object hashes to one lock, sections on
+// different objects run concurrently, and GlobalSeq degrades to a Lamport
 // watermark that is still unique and monotone per thread and per object.
+// Either way every tuple carries its object's own Seq_obj.
 //
 // With Config.BatchTuples > 1 the recorder coalesces tuples per backup —
 // written in place into an open ring reservation (zero-copy) and published
@@ -793,12 +793,11 @@ func (r *Recorder) lockShard(t *kernel.Task, key uint64) (*pthread.Mutex, int, i
 	return mu, shard, wait
 }
 
-// commitSeqs assigns one section's tuple cursors and advances every
-// counter. Sharded, the advance happens BEFORE the emit's first possible
-// yield, so a concurrent section on another shard can never observe a
-// half-advanced cursor state (and GlobalSeq stays unique); unsharded, the
-// advance stays after the emit, preserving the exact pre-sharding
-// execution byte for byte.
+// commitSeqs advances every counter past one section's tuple. It runs
+// BEFORE the emit's first possible yield, so a concurrent section on
+// another shard can never observe a half-advanced cursor state (and
+// GlobalSeq stays unique), and a reader sampling SeqGlobal counts the
+// tuple from the instant it is built.
 func (r *Recorder) commitSeqs(th *Thread, key uint64) {
 	th.seq++
 	r.seqGlobal++
@@ -818,15 +817,9 @@ func (r *Recorder) section(th *Thread, op pthread.Op, obj uint64, fn func()) {
 	t.Busy(r.cfg.SectionCost)
 	fn()
 	tu := Tuple{ThreadSeq: th.seq, GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], FTPid: th.ftpid, Op: op, Obj: obj}
-	if len(r.mus) > 1 {
-		r.commitSeqs(th, key)
-		r.emit(t, msgTuple, tu, tu.size(), shard)
-		r.noteTuple(th, tu, key)
-	} else {
-		r.emit(t, msgTuple, tu, tu.size(), shard)
-		r.noteTuple(th, tu, key)
-		r.commitSeqs(th, key)
-	}
+	r.commitSeqs(th, key)
+	r.emit(t, msgTuple, tu, tu.size(), shard)
+	r.noteTuple(th, tu, key)
 	r.cShardSec(shard).Inc()
 	r.sc.EmitDet(obs.DetExit, th.ftpid, int64(tu.GlobalSeq), 0, key, int64(tu.ObjSeq))
 	mu.Unlock(t)
@@ -857,15 +850,9 @@ func (r *Recorder) resolve(th *Thread, op pthread.Op, obj uint64, block func(), 
 	t.Busy(r.cfg.SectionCost)
 	out, data := settle()
 	tu := Tuple{ThreadSeq: th.seq, GlobalSeq: r.seqGlobal, ObjSeq: r.objSeq[key], FTPid: th.ftpid, Op: op, Obj: obj, Outcome: out, Data: data}
-	if len(r.mus) > 1 {
-		r.commitSeqs(th, key)
-		r.emit(t, msgTuple, tu, tu.size(), shard)
-		r.noteTuple(th, tu, key)
-	} else {
-		r.emit(t, msgTuple, tu, tu.size(), shard)
-		r.noteTuple(th, tu, key)
-		r.commitSeqs(th, key)
-	}
+	r.commitSeqs(th, key)
+	r.emit(t, msgTuple, tu, tu.size(), shard)
+	r.noteTuple(th, tu, key)
 	r.cShardSec(shard).Inc()
 	r.sc.EmitDet(obs.DetExit, th.ftpid, int64(tu.GlobalSeq), 0, key, int64(tu.ObjSeq))
 	mu.Unlock(t)

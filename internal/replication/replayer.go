@@ -26,16 +26,22 @@ type headSub struct {
 }
 
 // replWaiter is a shadow thread parked in a deterministic section, waiting
-// for its tuple to be grantable: at the head of the log with one det
-// shard, at the head of its object's queue with more.
+// for its tuple to reach the head of its object's queue (and, with one det
+// shard, the replay frontier).
 type replWaiter struct {
 	th        *Thread
-	key       uint64
-	obj       uint64   // sequencing-object key the thread parked on
+	key       uint64   // futex key the thread sleeps on until granted
 	parkedAt  sim.Time // when the thread parked, for grant-wait attribution
 	granted   bool
 	liveFlush bool // granted by promotion to live execution, no tuple
 	tuple     Tuple
+}
+
+// objQueue is one sequencing object's entry in the grant table.
+type objQueue struct {
+	rank    int     // first-arrival order: the deterministic rescan order
+	pending []Tuple // arrived, unreplayed tuples
+	granted bool    // executing a granted section
 }
 
 // shardIngress is one det shard's dispatch queue on the secondary: the
@@ -48,37 +54,36 @@ type shardIngress struct {
 
 // Replayer is the secondary-side engine: it pulls the primary's log off the
 // shared-memory ring and delivers deterministic-section turns to shadow
-// threads. With one det shard turns follow the recorded global order
-// through a single cursor; with more, a per-object grant table lets shadow
-// threads on independent objects replay concurrently, and the scalar
-// replay head becomes the Lamport frontier (every GlobalSeq below it has
-// been replayed).
+// threads through a per-object grant table, so shadow threads on
+// independent objects replay concurrently. The scalar replay head is the
+// Lamport frontier: every GlobalSeq below it has been replayed. One det
+// shard is two rules on the same table: the frontier is a grant barrier
+// (only the tuple at the frontier is grantable, which is the recorded
+// total order of the global mutex), and the pull loop pays the dispatch
+// cost itself instead of handing tuples to per-shard grant tasks.
 type Replayer struct {
 	kern *kernel.Kernel
 	cfg  Config
 	log  *shm.Ring
 	acks *shm.Ring
 
-	// Unsharded (DetShards <= 1) grant state: the recorded total order.
-	pending     []Tuple
-	headGranted bool
-	nextGlobal  uint64
+	// inbox is the pull loop's received, undispatched batch. It lives on
+	// the Replayer, not the loop's stack, so a promotion that kills the
+	// loop mid-dispatch still routes every message already received.
+	inbox []shm.Message
 
-	// Sharded (DetShards > 1) grant state: the per-object grant table.
-	objSeen    map[uint64]uint64  // next ObjSeq expected off the ring (duplicate filter)
-	objPending map[uint64][]Tuple // arrived, unreplayed tuples per object
-	objGranted map[uint64]bool    // object currently executing a granted section
-	objKnown   map[uint64]bool
-	objOrder   []uint64        // object keys in first-arrival order: the deterministic rescan order
-	unreplayed int             // total tuples across objPending
-	frontier   uint64          // Lamport replay head: every GlobalSeq < frontier is replayed
-	ahead      map[uint64]bool // replayed GlobalSeqs at or past the frontier
-	shardQ     []*shardIngress
+	// The per-object grant table. active holds the objects with arrived,
+	// unreplayed tuples in rank order, so a rescan skips the idle ones
+	// (every connection a server ever accepted is a sequencing object).
+	objs       map[uint64]*objQueue
+	active     []*objQueue
+	objSeen    map[uint64]uint64 // next ObjSeq expected off the ring (duplicate filter)
+	objDone    map[uint64]uint64 // per-object replay cursors: what checkpoints compare and forks continue from
+	unreplayed int               // total tuples across all queues
+	frontier   uint64            // Lamport replay head: every GlobalSeq < frontier is replayed
+	ahead      map[uint64]bool   // replayed GlobalSeqs at or past the frontier
+	shardQ     []*shardIngress   // per-shard dispatch queues; nil with one det shard
 	granters   []*kernel.Task
-
-	// objDone is maintained in both modes: the per-object cursor vector
-	// checkpoints compare and forks continue from.
-	objDone map[uint64]uint64
 
 	waiting   map[int]*replWaiter
 	waitOrder []int // ftpids in park order, for deterministic live-flush
@@ -135,56 +140,40 @@ func newReplayer(k *kernel.Kernel, cfg Config, log, acks *shm.Ring) *Replayer {
 		cfg:      cfg.withBatchDefaults(),
 		log:      log,
 		acks:     acks,
-		waiting:  make(map[int]*replWaiter),
+		objs:     make(map[uint64]*objQueue),
+		objSeen:  make(map[uint64]uint64),
 		objDone:  make(map[uint64]uint64),
+		ahead:    make(map[uint64]bool),
+		waiting:  make(map[int]*replWaiter),
 		envQ:     sim.NewWaitQueue(k.Sim()),
 		promoted: sim.NewWaitQueue(k.Sim()),
 	}
+	r.puller = k.Spawn("ft-replay", r.pullLoop)
 	if !r.sharded() {
-		r.puller = k.Spawn("ft-replay", r.pullLoop)
 		return r
 	}
-	r.objSeen = make(map[uint64]uint64)
-	r.objPending = make(map[uint64][]Tuple)
-	r.objGranted = make(map[uint64]bool)
-	r.objKnown = make(map[uint64]bool)
-	r.ahead = make(map[uint64]bool)
 	r.shardQ = make([]*shardIngress, r.cfg.DetShards)
 	for i := range r.shardQ {
 		r.shardQ[i] = &shardIngress{wq: sim.NewWaitQueue(k.Sim())}
-	}
-	r.puller = k.Spawn("ft-replay", r.pullLoopSharded)
-	for i := range r.shardQ {
-		i := i
 		r.granters = append(r.granters,
 			k.Spawn(fmt.Sprintf("ft-grant.%d", i), func(t *kernel.Task) { r.grantLoop(t, i) }))
 	}
 	return r
 }
 
-// sharded reports whether the per-object grant table is in effect.
+// sharded reports whether per-shard grant tasks pay the dispatch cost.
+// Without them the frontier is also a grant barrier (see grantBarrier).
 func (r *Replayer) sharded() bool { return r.cfg.DetShards > 1 }
 
-// head is the scalar replay watermark: the recorded-order cursor
-// unsharded, the Lamport frontier sharded.
-func (r *Replayer) head() uint64 {
-	if r.sharded() {
-		return r.frontier
-	}
-	return r.nextGlobal
-}
+// head is the scalar replay watermark, the Lamport frontier.
+func (r *Replayer) head() uint64 { return r.frontier }
 
-// outstanding is the number of arrived, unreplayed tuples.
-func (r *Replayer) outstanding() int {
-	if r.sharded() {
-		return r.unreplayed
-	}
-	return len(r.pending)
-}
-
-// pullLoop is the serial log-dispatch path whose per-tuple cost (riding
+// pullLoop receives the log and acknowledges it at receipt. With one det
+// shard it is also the serial dispatcher whose per-tuple cost (riding
 // wake_up_process to hand turns to shadow threads) bounds the secondary's
-// replay rate — the §4.1 bottleneck.
+// replay rate, the §4.1 bottleneck. With more, it routes each tuple to its
+// shard's ingress queue without paying that cost: the shard grant tasks
+// pay it concurrently, which lifts the ceiling by the shard count.
 func (r *Replayer) pullLoop(t *kernel.Task) {
 	max := r.cfg.BatchTuples
 	if max < 1 {
@@ -210,52 +199,26 @@ func (r *Replayer) pullLoop(t *kernel.Task) {
 			}
 		}
 		r.retryEpochAck()
-		for _, m := range batch {
-			if r.cfg.ReplayDispatchCost > 0 {
+		r.inbox = batch
+		for len(r.inbox) > 0 {
+			// Pay the dispatch cost BEFORE popping, as grantLoop does: a
+			// promotion that kills this task mid-dispatch finds the message
+			// still in the inbox and routes it.
+			if !r.sharded() && r.cfg.ReplayDispatchCost > 0 {
 				t.Compute(r.cfg.ReplayDispatchCost)
 			}
-			r.ingest(m)
-		}
-	}
-}
-
-// pullLoopSharded is the sharded receive path: it acknowledges receipt and
-// routes each tuple to its det shard's ingress queue WITHOUT paying the
-// dispatch cost — the shard grant tasks pay it concurrently, which is what
-// lifts the §4.1 serial-dispatch ceiling by the shard count.
-func (r *Replayer) pullLoopSharded(t *kernel.Task) {
-	max := r.cfg.BatchTuples
-	if max < 1 {
-		max = 1
-	}
-	var lastAcked uint64
-	for {
-		batch := r.log.RecvBatch(t.Proc(), max)
-		r.hRecvBatch.Observe(int64(len(batch)))
-		r.processed += uint64(len(batch))
-		if len(batch) > 1 {
-			r.stats.LogBatches++
-		}
-		if r.cfg.AckEvery > 0 && r.processed-lastAcked >= uint64(r.cfg.AckEvery) {
-			if r.acks.TrySend(shm.Message{Kind: msgTuple, Payload: r.processed, Size: 16}) {
-				lastAcked = r.processed
-				r.stats.AckMessages++
-				r.cAcks.Inc()
-				r.sc.Emit(obs.AckSend, 0, int64(r.processed), 0)
-			}
-		}
-		r.retryEpochAck()
-		for _, m := range batch {
+			m := r.inbox[0]
+			r.inbox = r.inbox[1:]
 			r.route(m)
 		}
 	}
 }
 
-// route performs the sharded receive-side bookkeeping for one message, in
-// ring order: duplicate filtering, history retention (the retained order
-// must respect every per-thread and per-object order, which ring order
-// does and per-shard completion order would not), then hand-off to the
-// shard ingress queue.
+// route performs the receive-side bookkeeping for one message, in ring
+// order: duplicate filtering, history retention (the retained order must
+// respect every per-thread and per-object order, which ring order does and
+// per-shard completion order would not), then hand-off to the shard
+// ingress queue, or straight into the grant table with one det shard.
 func (r *Replayer) route(m shm.Message) {
 	switch m.Kind {
 	case msgEnv:
@@ -283,9 +246,13 @@ func (r *Replayer) route(m shm.Message) {
 				panic(fmt.Sprintf("replication: per-object log gap: %v expected obj-seq %d", tu, r.objSeen[key]))
 			}
 			r.objSeen[key] = tu.ObjSeq + 1
-			sh := r.shardQ[pthread.ShardOf(key, r.cfg.DetShards)]
-			sh.q = append(sh.q, m)
-			sh.wq.WakeAll(0)
+			if r.sharded() {
+				sh := r.shardQ[pthread.ShardOf(key, r.cfg.DetShards)]
+				sh.q = append(sh.q, m)
+				sh.wq.WakeAll(0)
+			} else {
+				r.admit(tu)
+			}
 		}
 	case msgEpoch:
 		if mark, ok := m.Payload.(EpochMark); ok && !r.noteEpoch(mark) {
@@ -319,61 +286,32 @@ func (r *Replayer) grantLoop(t *kernel.Task, shard int) {
 		}
 		m := sh.q[0]
 		sh.q = sh.q[1:]
-		r.admit(m)
+		r.admit(m.Payload.(Tuple))
 	}
+}
+
+// obj returns the object's grant-table entry, ranking it on first sight.
+func (r *Replayer) obj(key uint64) *objQueue {
+	o, ok := r.objs[key]
+	if !ok {
+		o = &objQueue{rank: len(r.objs)}
+		r.objs[key] = o
+	}
+	return o
 }
 
 // admit enters one routed tuple into the per-object grant table.
-func (r *Replayer) admit(m shm.Message) {
-	tu, ok := m.Payload.(Tuple)
-	if !ok {
-		return
+func (r *Replayer) admit(tu Tuple) {
+	o := r.obj(objKey(tu.Op, tu.Obj))
+	if len(o.pending) == 0 {
+		i := sort.Search(len(r.active), func(i int) bool { return r.active[i].rank > o.rank })
+		r.active = append(r.active, nil)
+		copy(r.active[i+1:], r.active[i:])
+		r.active[i] = o
 	}
-	key := objKey(tu.Op, tu.Obj)
-	if !r.objKnown[key] {
-		r.objKnown[key] = true
-		r.objOrder = append(r.objOrder, key)
-	}
-	r.objPending[key] = append(r.objPending[key], tu)
+	o.pending = append(o.pending, tu)
 	r.unreplayed++
-	r.tryGrantObj(key)
-}
-
-func (r *Replayer) ingest(m shm.Message) {
-	switch m.Kind {
-	case msgEnv:
-		if env, ok := m.Payload.(map[string]string); ok {
-			if r.envReady {
-				r.stats.Duplicates++
-				return
-			}
-			r.env = env
-			r.envReady = true
-			r.envQ.WakeAll(0)
-		}
-	case msgTuple:
-		if tu, ok := m.Payload.(Tuple); ok {
-			// A tuple below the pending horizon is a stale duplicate (an
-			// injected mailbox duplication, or overlap between a promotion
-			// drain and in-flight delivery); the log is cumulative, so it
-			// is discarded rather than treated as a gap.
-			if tu.GlobalSeq < r.nextGlobal+uint64(len(r.pending)) {
-				r.stats.Duplicates++
-				return
-			}
-			r.pending = append(r.pending, tu)
-			r.tryGrant()
-		}
-	case msgEpoch:
-		if mark, ok := m.Payload.(EpochMark); ok && !r.noteEpoch(mark) {
-			r.stats.Duplicates++
-			return
-		}
-	}
-	if r.cfg.Rejoinable {
-		r.history = append(r.history, m)
-	}
-	r.stats.LogMessages++
+	r.tryGrantObj(o)
 }
 
 // SeedCheckpoint initializes a fresh replayer from an epoch checkpoint
@@ -386,7 +324,6 @@ func (r *Replayer) ingest(m shm.Message) {
 // attaches the link). epoch is the checkpoint's epoch number; its marker
 // is retained without re-verification.
 func (r *Replayer) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCursor, env map[string]string) {
-	r.nextGlobal = seqGlobal
 	r.frontier = seqGlobal
 	r.baseSeqGlobal = seqGlobal
 	r.processed = sent
@@ -394,13 +331,8 @@ func (r *Replayer) SeedCheckpoint(epoch, seqGlobal, sent uint64, objs []ObjCurso
 	r.epochBase = epoch
 	for _, c := range objs {
 		r.objDone[c.Obj] = c.Seq
-		if r.sharded() {
-			r.objSeen[c.Obj] = c.Seq
-			if !r.objKnown[c.Obj] {
-				r.objKnown[c.Obj] = true
-				r.objOrder = append(r.objOrder, c.Obj)
-			}
-		}
+		r.objSeen[c.Obj] = c.Seq
+		r.obj(c.Obj)
 	}
 	if env != nil {
 		r.env = env
@@ -532,38 +464,6 @@ func (r *Replayer) waitEnv(t *kernel.Task) map[string]string {
 	return r.env
 }
 
-// tryGrant hands the head tuple's turn to its shadow thread, if it has
-// arrived at its deterministic section (unsharded discipline).
-func (r *Replayer) tryGrant() {
-	if r.headGranted || r.live || len(r.pending) == 0 {
-		return
-	}
-	tu := r.pending[0]
-	if tu.GlobalSeq != r.nextGlobal {
-		if r.primaryDead {
-			// Coherency fault lost part of the log: everything past the gap
-			// is beyond the stable point and is discarded (§3.5).
-			r.sc.Emit(obs.LogDrop, 0, int64(r.nextGlobal), int64(len(r.pending)))
-			r.stats.Dropped += uint64(len(r.pending))
-			r.pending = nil
-			r.finishPromotion()
-			return
-		}
-		panic(fmt.Sprintf("replication: log gap with live primary: head=%v next=%d", tu, r.nextGlobal))
-	}
-	w, ok := r.waiting[tu.FTPid]
-	if !ok {
-		return // the shadow thread has not reached this section yet
-	}
-	delete(r.waiting, tu.FTPid)
-	r.dropWaitOrder(tu.FTPid)
-	r.headGranted = true
-	w.tuple = tu
-	w.granted = true
-	r.noteGrant(w, tu)
-	r.kern.FutexWakeRaw(w.key, 1)
-}
-
 // noteGrant records a replay grant with the tuple's alignment identity
 // <obj, Seq_obj> (matching the primary's TupleEmit of the same section)
 // and the time the shadow thread spent parked before the grant — the
@@ -573,14 +473,20 @@ func (r *Replayer) noteGrant(w *replWaiter, tu Tuple) {
 	r.sc.EmitDet(obs.Replay, tu.FTPid, int64(tu.GlobalSeq), wait, objKey(tu.Op, tu.Obj), int64(tu.ObjSeq))
 }
 
-// grantBarrier is the earliest armed head watermark: while the rejoin
-// verifier waits at W, no tuple with GlobalSeq >= W may be granted, so
-// the replayed set at frontier == W is exactly [0, W). Deadlock-free: the
-// recorded prefix is closed under per-thread and per-object predecessors
-// (GlobalSeq increases along both orders), so replay below the barrier
-// always makes progress.
+// grantBarrier is the lowest GlobalSeq that may not be granted yet. With
+// one det shard it is frontier+1: only the tuple at the frontier may run,
+// one section at a time, in the exact recorded total order. It is also
+// capped by the earliest armed head watermark: while the rejoin verifier
+// waits at W, no tuple with GlobalSeq >= W may be granted, so the replayed
+// set at frontier == W is exactly [0, W). Deadlock-free: the recorded
+// prefix is closed under per-thread and per-object predecessors (GlobalSeq
+// increases along both orders), so replay below the barrier always makes
+// progress.
 func (r *Replayer) grantBarrier() uint64 {
 	min := ^uint64(0)
+	if !r.sharded() {
+		min = r.frontier + 1
+	}
 	for _, s := range r.headSubs {
 		if s.seq < min {
 			min = s.seq
@@ -590,20 +496,16 @@ func (r *Replayer) grantBarrier() uint64 {
 }
 
 // tryGrantObj hands the head of one object's queue to its shadow thread if
-// the thread has arrived at the matching point in its program order
-// (sharded discipline). Thread-order matching happens here — the thread
-// may legitimately still be short of this tuple while its earlier sections
-// on other objects replay; op/object divergence is still detected by
-// verify after the grant, as in the unsharded engine.
-func (r *Replayer) tryGrantObj(key uint64) {
-	if r.live || r.objGranted[key] {
+// it is below the grant barrier and the thread has arrived at the matching
+// point in its program order. Thread-order matching happens here — the
+// thread may legitimately still be short of this tuple while its earlier
+// sections on other objects replay; op/object divergence is detected by
+// verify after the grant.
+func (r *Replayer) tryGrantObj(o *objQueue) {
+	if r.live || o.granted || len(o.pending) == 0 {
 		return
 	}
-	q := r.objPending[key]
-	if len(q) == 0 {
-		return
-	}
-	tu := q[0]
+	tu := o.pending[0]
 	if tu.GlobalSeq >= r.grantBarrier() {
 		return
 	}
@@ -613,19 +515,21 @@ func (r *Replayer) tryGrantObj(key uint64) {
 	}
 	delete(r.waiting, tu.FTPid)
 	r.dropWaitOrder(tu.FTPid)
-	r.objGranted[key] = true
+	o.granted = true
 	w.tuple = tu
 	w.granted = true
 	r.noteGrant(w, tu)
 	r.kern.FutexWakeRaw(w.key, 1)
 }
 
-// tryGrantAll rescans every object's queue in first-arrival order — a
-// deterministic order, unlike a map walk — after an event that can unblock
-// more than one object (a park, a completed section, a lifted barrier).
+// tryGrantAll rescans every object with queued tuples in first-arrival
+// order — a deterministic order, unlike a map walk — after an event that
+// can unblock more than one object (a park, a completed section, a lifted
+// barrier). A grant only schedules a wake, so active cannot change under
+// the scan.
 func (r *Replayer) tryGrantAll() {
-	for _, key := range r.objOrder {
-		r.tryGrantObj(key)
+	for _, o := range r.active {
+		r.tryGrantObj(o)
 	}
 }
 
@@ -639,21 +543,16 @@ func (r *Replayer) dropWaitOrder(ftpid int) {
 }
 
 // park registers the calling shadow thread and blocks until its turn (or
-// until promotion flushes it into live execution). key is the sequencing
-// object of the section the thread is entering.
-func (r *Replayer) park(th *Thread, key uint64) *replWaiter {
+// until promotion flushes it into live execution).
+func (r *Replayer) park(th *Thread) *replWaiter {
 	if _, dup := r.waiting[th.ftpid]; dup {
 		panic(fmt.Sprintf("replication: ft_pid %d parked twice", th.ftpid))
 	}
 	start := th.task.Now()
-	w := &replWaiter{th: th, key: r.kern.NewFutexKey(), obj: key, parkedAt: start}
+	w := &replWaiter{th: th, key: r.kern.NewFutexKey(), parkedAt: start}
 	r.waiting[th.ftpid] = w
 	r.waitOrder = append(r.waitOrder, th.ftpid)
-	if r.sharded() {
-		r.tryGrantAll()
-	} else {
-		r.tryGrant()
-	}
+	r.tryGrantAll()
 	for !w.granted {
 		th.task.FutexWait(w.key, -1)
 	}
@@ -661,32 +560,19 @@ func (r *Replayer) park(th *Thread, key uint64) *replWaiter {
 	return w
 }
 
-// sectionDone advances the replay cursors after the granted shadow thread
-// finished executing its section.
+// sectionDone runs after the granted shadow thread finished executing its
+// section: it releases the object, advances its cursor and folds the
+// completed GlobalSeq into the Lamport frontier.
 func (r *Replayer) sectionDone(w *replWaiter) {
-	if r.sharded() {
-		r.sectionDoneSharded(w.tuple)
-		return
-	}
-	tu := r.pending[0]
-	r.objDone[objKey(tu.Op, tu.Obj)] = tu.ObjSeq + 1
-	r.headGranted = false
-	r.pending = r.pending[1:]
-	r.nextGlobal++
-	r.stats.Sections++
-	r.fireHeadSubs()
-	r.tryGrant()
-	if r.primaryDead && len(r.pending) == 0 {
-		r.finishPromotion()
-	}
-}
-
-// sectionDoneSharded releases the object, advances its cursor and folds
-// the completed GlobalSeq into the Lamport frontier.
-func (r *Replayer) sectionDoneSharded(tu Tuple) {
+	tu := w.tuple
 	key := objKey(tu.Op, tu.Obj)
-	r.objGranted[key] = false
-	r.objPending[key] = r.objPending[key][1:]
+	o := r.objs[key]
+	o.granted = false
+	o.pending = o.pending[1:]
+	if len(o.pending) == 0 {
+		i := sort.Search(len(r.active), func(i int) bool { return r.active[i].rank >= o.rank })
+		r.active = append(r.active[:i], r.active[i+1:]...)
+	}
 	r.objDone[key] = tu.ObjSeq + 1
 	r.unreplayed--
 	r.stats.Sections++
@@ -754,7 +640,7 @@ func (r *Replayer) section(th *Thread, op pthread.Op, obj uint64, fn func()) {
 		fn()
 		return
 	}
-	w := r.park(th, objKey(op, obj))
+	w := r.park(th)
 	if w.liveFlush {
 		if r.fork != nil {
 			// Promotion forked the namespace into a recording primary:
@@ -784,7 +670,7 @@ func (r *Replayer) resolve(th *Thread, op pthread.Op, obj uint64, block func(), 
 		block()
 		return settle()
 	}
-	w := r.park(th, objKey(op, obj))
+	w := r.park(th)
 	if w.liveFlush {
 		if r.fork != nil {
 			return r.fork.resolve(th, op, obj, block, settle)
@@ -812,7 +698,7 @@ func (r *Replayer) replayed(th *Thread, op pthread.Op, obj uint64) (uint64, []by
 	if r.live {
 		return 0, nil, false, r.fork
 	}
-	w := r.park(th, objKey(op, obj))
+	w := r.park(th)
 	if w.liveFlush {
 		return 0, nil, false, r.fork
 	}
@@ -846,37 +732,33 @@ func (r *Replayer) Promote() {
 		}
 	}
 	r.headSubs = subs
-	// Drain what the dead primary left in shared memory (§3.5: messages in
-	// the mailbox survive the sender's death).
-	drained := 0
-	if r.sharded() {
-		for _, m := range r.log.Drain() {
-			r.processed++
-			drained++
-			r.route(m)
-		}
-		// The grant tasks are dead: admit everything routed (including
-		// tuples they left queued) directly, without dispatch cost.
-		for _, sh := range r.shardQ {
-			for len(sh.q) > 0 {
-				m := sh.q[0]
-				sh.q = sh.q[1:]
-				r.admit(m)
-			}
-		}
-	} else {
-		for _, m := range r.log.Drain() {
-			r.processed++
-			drained++
-			r.ingest(m)
-		}
+	// Every received message replays before the replica goes live (§3.5):
+	// first what the dead pull loop had received but not yet dispatched,
+	// then what the dead primary left in shared memory (messages in the
+	// mailbox survive the sender's death), in ring order.
+	for _, m := range r.inbox {
+		r.route(m)
 	}
-	r.sc.Emit(obs.Promote, 0, int64(r.head()), int64(drained))
-	if r.outstanding() == 0 {
+	r.inbox = nil
+	drained := r.log.Drain()
+	r.processed += uint64(len(drained))
+	for _, m := range drained {
+		r.route(m)
+	}
+	// The grant tasks are dead: admit everything routed (including
+	// tuples they left queued) directly, without dispatch cost.
+	for _, sh := range r.shardQ {
+		for _, m := range sh.q {
+			r.admit(m.Payload.(Tuple))
+		}
+		sh.q = nil
+	}
+	r.sc.Emit(obs.Promote, 0, int64(r.head()), int64(len(drained)))
+	if r.unreplayed == 0 {
 		r.finishPromotion()
 	}
 	// Otherwise replay continues as shadow threads arrive; the last
-	// sectionDone (or a detected log gap) completes the promotion.
+	// sectionDone completes the promotion.
 }
 
 func (r *Replayer) finishPromotion() {
@@ -923,13 +805,13 @@ func (r *Replayer) objSeqSnapshot() map[uint64]uint64 {
 // replayedHistory returns the executed subset of the retained log — every
 // environment message plus exactly the tuples whose sections replayed —
 // with GlobalSeq renumbered densely in retained (ring) order from the
-// retention window's base. Unsharded with a zero base, the replayed set
-// is the first nextGlobal tuples and the renumbering is the identity.
-// Sharded, sections completed past a promotion gap would leave holes
-// below the Lamport maximum; dropping unreplayed tuples and renumbering
-// restores a dense, causally consistent order (ring order respects every
-// per-thread and per-object order), so a backup rejoining the fork can
-// replay the history under either discipline. Epoch markers are dropped:
+// retention window's base. With one det shard the replayed set is a
+// prefix and the renumbering is the identity. With more, sections
+// completed past a promotion gap would leave holes below the Lamport
+// maximum; dropping unreplayed tuples and renumbering restores a dense,
+// causally consistent order (ring order respects every per-thread and
+// per-object order), so a backup rejoining the fork can replay the
+// history under either shard count. Epoch markers are dropped:
 // their digests describe the dead primary's numbering, and the fork's
 // cutter starts a fresh boundary sequence over the renumbered space. It
 // returns the history and the fork's starting GlobalSeq.

@@ -243,10 +243,12 @@ type Config struct {
 	// — never weaker than what the survivors can actually promise.
 	CommitQuorum int
 	// DetShards is the number of det-section locks the namespace global
-	// mutex is sharded across (<= 1 selects the paper's single global
-	// mutex and is byte-identical to the unsharded engine). With more
-	// shards, sections on different sequencing objects record and replay
-	// concurrently; per-object FIFO hand-off and per-thread program order
+	// mutex is sharded across. <= 1 selects the paper's single global
+	// mutex: the replayer grants only the tuple at its frontier, in the
+	// recorded total order, and its pull loop pays the dispatch cost.
+	// With more shards, sections on different sequencing objects record
+	// and replay concurrently, one grant task per shard paying the
+	// dispatch cost; per-object FIFO hand-off and per-thread program order
 	// are preserved, so race-free applications replay deterministically.
 	DetShards int
 	// Rejoinable retains the full log history on both sides so a fresh
@@ -315,7 +317,6 @@ type Stats struct {
 	LogBatches   uint64 // vectored ring transfers: flushes (primary) or multi-tuple deliveries drained (secondary)
 	AckMessages  uint64 // cumulative acknowledgements sent (secondary)
 	Divergences  uint64 // replay mismatches detected (secondary)
-	Dropped      uint64 // log tuples discarded at promotion (gap after fault)
 	Duplicates   uint64 // stale log messages discarded by the replayer (injected duplicates)
 	EpochCuts    uint64 // epoch checkpoint markers emitted (primary)
 	LogTruncated uint64 // retained log messages dropped at verified epoch boundaries
