@@ -1,6 +1,7 @@
 package tcprep
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -25,13 +26,14 @@ type LogicalConn struct {
 	inBase uint64
 	inRead int
 
-	// out holds replica-regenerated output bytes [outBase, outBase+len):
+	// out holds replica-regenerated output bytes [outBase, outBase+Len):
 	// everything the client has not acknowledged, retransmittable after
 	// failover. outBase advances with ackOut updates, but never past what
 	// the replica has regenerated: ackTarget remembers the highest
 	// watermark so output produced later is trimmed on arrival instead of
-	// being retransmitted to a client that already acknowledged it.
-	out       []byte
+	// being retransmitted to a client that already acknowledged it. A
+	// bytes.Buffer, so trimming the head slides the window in place.
+	out       bytes.Buffer
 	outBase   uint64
 	ackTarget uint64
 
@@ -53,7 +55,7 @@ func (lc *LogicalConn) InBuffered() int { return len(lc.in) - lc.inRead }
 
 // OutBuffered reports replica output bytes not yet acknowledged by the
 // client.
-func (lc *LogicalConn) OutBuffered() int { return len(lc.out) }
+func (lc *LogicalConn) OutBuffered() int { return lc.out.Len() }
 
 // Live returns the promoted real connection, or nil before failover.
 func (lc *LogicalConn) Live() *tcpstack.Conn { return lc.live }
@@ -222,10 +224,10 @@ func (lc *LogicalConn) applyTrim() {
 		return
 	}
 	n := lc.ackTarget - lc.outBase
-	if n > uint64(len(lc.out)) {
-		n = uint64(len(lc.out))
+	if n > uint64(lc.out.Len()) {
+		n = uint64(lc.out.Len())
 	}
-	lc.out = lc.out[n:]
+	lc.out.Next(int(n))
 	lc.outBase += n
 }
 
@@ -277,7 +279,7 @@ func (s *Secondary) readReplay(t *kernel.Task, lc *LogicalConn, n int) []byte {
 // appendOut accumulates replica-regenerated output bytes, discarding any
 // prefix the client has already acknowledged.
 func (s *Secondary) appendOut(lc *LogicalConn, data []byte) {
-	lc.out = append(lc.out, data...)
+	lc.out.Write(data)
 	lc.applyTrim()
 }
 
@@ -314,7 +316,7 @@ func (s *Secondary) Promote(stack *tcpstack.Stack) ([]*tcpstack.Conn, error) {
 			ISS:       lc.iss,
 			IRS:       lc.irs,
 			SndUna:    lc.iss + 1 + lc.outBase,
-			SndData:   lc.out,
+			SndData:   lc.out.Bytes(), // Restore copies
 			RcvNxt:    lc.irs + 1 + lc.inBase + uint64(len(lc.in)),
 			RcvData:   lc.in[lc.inRead:],
 			PeerFin:   lc.peerFin,

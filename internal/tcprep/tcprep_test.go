@@ -1,10 +1,15 @@
 package tcprep
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/hw"
+	"repro/internal/kernel"
 	"repro/internal/shm"
+	"repro/internal/sim"
 	"repro/internal/tcpstack"
 )
 
@@ -42,19 +47,114 @@ func TestResultEncoding(t *testing.T) {
 
 func TestLogicalConnTrim(t *testing.T) {
 	lc := &LogicalConn{}
-	lc.out = append(lc.out, make([]byte, 1000)...)
+	lc.out.Write(make([]byte, 1000))
 	lc.trimOut(400)
-	if len(lc.out) != 600 || lc.outBase != 400 {
-		t.Errorf("after trim(400): len=%d base=%d", len(lc.out), lc.outBase)
+	if lc.OutBuffered() != 600 || lc.outBase != 400 {
+		t.Errorf("after trim(400): len=%d base=%d", lc.OutBuffered(), lc.outBase)
 	}
 	lc.trimOut(300) // stale ack: no effect
-	if len(lc.out) != 600 || lc.outBase != 400 {
+	if lc.OutBuffered() != 600 || lc.outBase != 400 {
 		t.Error("stale ack changed state")
 	}
 	lc.trimOut(5000) // beyond buffered: clamp
-	if len(lc.out) != 0 || lc.outBase != 1000 {
-		t.Errorf("after over-trim: len=%d base=%d", len(lc.out), lc.outBase)
+	if lc.OutBuffered() != 0 || lc.outBase != 1000 {
+		t.Errorf("after over-trim: len=%d base=%d", lc.OutBuffered(), lc.outBase)
 	}
+
+	// A 1 MiB stream in 1 KiB pieces, with ACK watermarks that alternately
+	// lag the replica and run ahead of it, so the out buffer slides its
+	// window many times. After every step the buffer must hold exactly the
+	// stream bytes [outBase, generated), with outBase the watermark clamped
+	// to what has been generated.
+	const piece, total = 1 << 10, 1 << 20
+	stream := genStream(total)
+	s := &Secondary{}
+	lc = &LogicalConn{}
+	check := func(step string, gen, acked int) {
+		t.Helper()
+		base := min(acked, gen)
+		if lc.outBase != uint64(base) || lc.OutBuffered() != gen-base {
+			t.Fatalf("%s: base=%d buffered=%d, want %d and %d", step, lc.outBase, lc.OutBuffered(), base, gen-base)
+		}
+		if !bytes.Equal(lc.out.Bytes(), stream[base:gen]) {
+			t.Fatalf("%s: out buffer is not stream[%d:%d]", step, base, gen)
+		}
+	}
+	acked := 0
+	for gen := piece; gen <= total; gen += piece {
+		s.appendOut(lc, stream[gen-piece:gen])
+		check(fmt.Sprintf("append to %d", gen), gen, acked)
+		switch i := gen / piece; {
+		case i%7 == 0: // the client acknowledges ahead of replay
+			acked = gen + 3*piece
+		case i%5 == 0: // a lagging watermark, up to 300 KiB behind
+			acked = max(acked, gen-(i%300)*piece)
+		default:
+			continue
+		}
+		lc.trimOut(uint64(acked))
+		check(fmt.Sprintf("ack %d at %d", acked, gen), gen, acked)
+	}
+}
+
+// TestPromoteRestoresUnackedOutput promotes a logical connection whose out
+// buffer has slid and checks the restored live connection holds exactly
+// the unacknowledged output and the unconsumed input, in copies of its
+// own.
+func TestPromoteRestoresUnackedOutput(t *testing.T) {
+	s := sim.New(1)
+	m := hw.New(s, hw.Opteron6376x4())
+	part, err := m.NewPartition("backup", 0, 1, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := kernel.Boot(part, kernel.Config{Name: "backup", Params: kernel.DefaultParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := NewSecondaryOpts(k, shm.NewFabric(s, 0).NewRing("sync", 0, 1<<20), SecondaryConfig{DeferPull: true})
+	key := ConnKey{LocalPort: 80, RemoteHost: "client", RemotePort: 5000}
+	const iss, irs = 1000, 7000
+	input := []byte("GET /stream HTTP/1.1\r\n\r\n")
+	sec.apply(shm.Message{Kind: syncConnMeta, Payload: connMeta{Key: key, ISS: iss, IRS: irs}})
+	sec.apply(shm.Message{Kind: syncDataIn, Payload: dataIn{Key: key, Data: input}})
+	lc := sec.conns[key]
+	stream := genStream(1 << 20)
+	for off := 0; off < len(stream); off += 1 << 10 {
+		sec.appendOut(lc, stream[off:off+1<<10])
+		sec.apply(shm.Message{Kind: syncAckOut, Payload: ackOut{Key: key, Acked: uint64(off * 3 / 4)}})
+	}
+	acked := int(lc.outBase)
+
+	conns, err := sec.Promote(tcpstack.New(k, "server", tcpstack.DefaultParams()))
+	if err != nil || len(conns) != 1 {
+		t.Fatalf("Promote = %d conns, %v; want 1", len(conns), err)
+	}
+	c := conns[0]
+	if c.BufferedOut() != lc.OutBuffered() || c.BufferedOut() != len(stream)-acked {
+		t.Errorf("restored BufferedOut = %d, logical %d, want %d", c.BufferedOut(), lc.OutBuffered(), len(stream)-acked)
+	}
+	snap := c.Snapshot()
+	if snap.SndUna != iss+1+uint64(acked) || !bytes.Equal(snap.SndData, stream[acked:]) {
+		t.Errorf("restored send side: SndUna=%d with %d bytes, want %d with stream[%d:]", snap.SndUna, len(snap.SndData), iss+1+acked, acked)
+	}
+	if snap.RcvNxt != irs+1+uint64(len(input)) || !bytes.Equal(snap.RcvData, input) {
+		t.Errorf("restored receive side: RcvNxt=%d data=%q", snap.RcvNxt, snap.RcvData)
+	}
+	// The live connection owns its bytes: scribbling over the logical
+	// buffer must not reach it.
+	clear(lc.out.Bytes())
+	if !bytes.Equal(c.Snapshot().SndData, stream[acked:]) {
+		t.Error("restored send queue aliases the logical out buffer")
+	}
+}
+
+func genStream(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*31 + i>>10)
+	}
+	return b
 }
 
 func TestConnKeyString(t *testing.T) {

@@ -1,6 +1,7 @@
 package tcpstack
 
 import (
+	"bytes"
 	"time"
 
 	"repro/internal/kernel"
@@ -45,13 +46,15 @@ type Conn struct {
 	state connState
 	err   error
 
-	// Send side. sndBuf holds the stream bytes [sndBase, sndBase+len);
-	// bytes below sndUna are acknowledged and trimmed.
+	// Send side. sndBuf holds the stream bytes [sndBase, sndBase+Len);
+	// bytes below sndUna are acknowledged and trimmed. Both byte queues
+	// are bytes.Buffers so a head trim slides the live window back to the
+	// front of the same array instead of forcing a reallocation.
 	iss     uint64
 	sndUna  uint64
 	sndNxt  uint64
 	sndBase uint64
-	sndBuf  []byte
+	sndBuf  bytes.Buffer
 	sndWnd  int
 	dupAcks int
 
@@ -65,7 +68,7 @@ type Conn struct {
 	// read yet, ending at rcvNxt.
 	irs     uint64
 	rcvNxt  uint64
-	rcvBuf  []byte
+	rcvBuf  bytes.Buffer
 	peerFin bool
 
 	// Retransmission.
@@ -110,14 +113,14 @@ func (c *Conn) Established() bool { return c.state == stateEstablished }
 func (c *Conn) Err() error { return c.err }
 
 // BufferedIn reports bytes received but not yet read by the application.
-func (c *Conn) BufferedIn() int { return len(c.rcvBuf) }
+func (c *Conn) BufferedIn() int { return c.rcvBuf.Len() }
 
 // BufferedOut reports stream bytes not yet acknowledged by the peer.
-func (c *Conn) BufferedOut() int { return len(c.sndBuf) }
+func (c *Conn) BufferedOut() int { return c.sndBuf.Len() }
 
-func (c *Conn) recvWindow() int { return c.stack.params.RecvBuf - len(c.rcvBuf) }
+func (c *Conn) recvWindow() int { return c.stack.params.RecvBuf - c.rcvBuf.Len() }
 
-func (c *Conn) dataEnd() uint64 { return c.sndBase + uint64(len(c.sndBuf)) }
+func (c *Conn) dataEnd() uint64 { return c.sndBase + uint64(c.sndBuf.Len()) }
 
 // sendSegment emits one segment through the egress gate.
 func (c *Conn) sendSegment(flags Flags, seq uint64, data []byte, probe bool) {
@@ -152,9 +155,12 @@ func (c *Conn) trySend() {
 			if room := wndEnd - c.sndNxt; n > room {
 				n = room
 			}
+			// The segment gets its own copy: it must stay immutable
+			// while on the wire or queued for retransmission, and the
+			// buffer slides its bytes when the head is trimmed.
 			off := c.sndNxt - c.sndBase
 			data := make([]byte, n)
-			copy(data, c.sndBuf[off:off+n])
+			copy(data, c.sndBuf.Bytes()[off:off+n])
 			c.sendSegment(FlagACK, c.sndNxt, data, false)
 			c.sndNxt += n
 			c.armRTO()
@@ -205,7 +211,7 @@ func (c *Conn) onRTO() {
 			// Go-back-N: rewind and retransmit the window.
 			c.sndNxt = c.sndUna
 			c.trySend()
-		} else if c.sndWnd == 0 && (len(c.sndBuf) > 0 || c.finQueued) {
+		} else if c.sndWnd == 0 && (c.sndBuf.Len() > 0 || c.finQueued) {
 			// Zero-window probe.
 			c.sendSegment(FlagACK, c.sndNxt, nil, true)
 		} else {
@@ -270,10 +276,10 @@ func (c *Conn) handleAck(seg *Segment) {
 		}
 		if seg.Ack > c.sndBase {
 			n := seg.Ack - c.sndBase
-			if n > uint64(len(c.sndBuf)) {
-				n = uint64(len(c.sndBuf))
+			if n > uint64(c.sndBuf.Len()) {
+				n = uint64(c.sndBuf.Len())
 			}
-			c.sndBuf = c.sndBuf[n:]
+			c.sndBuf.Next(int(n))
 			c.sndBase += n
 		}
 		c.sndUna = seg.Ack
@@ -310,7 +316,7 @@ func (c *Conn) handleData(seg *Segment) {
 			data = data[:free]
 		}
 		if len(data) > 0 {
-			c.rcvBuf = append(c.rcvBuf, data...)
+			c.rcvBuf.Write(data)
 			c.rcvNxt += uint64(len(data))
 			if c.stack.OnDataIn != nil {
 				c.stack.OnDataIn(c, data)
@@ -372,6 +378,7 @@ func (c *Conn) establish() {
 
 func (c *Conn) enterTimeWait() {
 	c.state = stateTimeWait
+	c.releaseQueues()
 	c.stack.kern.Sim().Schedule(c.stack.params.TimeWait, func() {
 		if c.state == stateTimeWait {
 			c.reap()
@@ -382,6 +389,7 @@ func (c *Conn) enterTimeWait() {
 // reap finishes the connection without error.
 func (c *Conn) reap() {
 	c.state = stateClosed
+	c.releaseQueues()
 	if c.rtoTimer != nil {
 		c.rtoTimer.Cancel()
 		c.rtoTimer = nil
@@ -394,6 +402,16 @@ func (c *Conn) reap() {
 	c.sendQ.WakeAll(0)
 	c.recvQ.WakeAll(0)
 	c.notifyPoll()
+}
+
+// releaseQueues drops the byte queues' arrays once the connection can send
+// nothing more, so a lingering or reaped connection holds no payload
+// memory. Unread input stays: Recv keeps draining after close.
+func (c *Conn) releaseQueues() {
+	c.sndBuf = bytes.Buffer{}
+	if c.rcvBuf.Len() == 0 {
+		c.rcvBuf = bytes.Buffer{}
+	}
 }
 
 // fail terminates the connection with an error (RST received, timeout).
@@ -417,7 +435,7 @@ func (c *Conn) Send(t *kernel.Task, data []byte) (int, error) {
 		if c.closed || c.state == stateClosed {
 			return written, ErrClosed
 		}
-		free := c.stack.params.SendBuf - len(c.sndBuf)
+		free := c.stack.params.SendBuf - c.sndBuf.Len()
 		if free == 0 {
 			c.sendQ.Wait(t.Proc())
 			continue
@@ -426,7 +444,7 @@ func (c *Conn) Send(t *kernel.Task, data []byte) (int, error) {
 		if n > free {
 			n = free
 		}
-		c.sndBuf = append(c.sndBuf, data[written:written+n]...)
+		c.sndBuf.Write(data[written : written+n])
 		written += n
 		if cost := c.stack.params.SegmentCPU; cost > 0 {
 			segs := (n + c.stack.params.MSS - 1) / c.stack.params.MSS
@@ -441,7 +459,7 @@ func (c *Conn) Send(t *kernel.Task, data []byte) (int, error) {
 // EOF once the peer has closed and all data has been consumed.
 func (c *Conn) Recv(t *kernel.Task, max int) ([]byte, error) {
 	t.Syscall()
-	for len(c.rcvBuf) == 0 {
+	for c.rcvBuf.Len() == 0 {
 		if c.err != nil {
 			return nil, c.err
 		}
@@ -453,14 +471,13 @@ func (c *Conn) Recv(t *kernel.Task, max int) ([]byte, error) {
 		}
 		c.recvQ.Wait(t.Proc())
 	}
-	n := len(c.rcvBuf)
+	n := c.rcvBuf.Len()
 	if n > max {
 		n = max
 	}
-	out := make([]byte, n)
-	copy(out, c.rcvBuf[:n])
 	wasFull := c.recvWindow() == 0
-	c.rcvBuf = c.rcvBuf[n:]
+	out := make([]byte, n)
+	c.rcvBuf.Read(out)
 	if cost := c.stack.params.SegmentCPU; cost > 0 {
 		segs := (n + c.stack.params.MSS - 1) / c.stack.params.MSS
 		t.Busy(time.Duration(segs) * cost)

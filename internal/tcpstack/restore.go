@@ -1,12 +1,18 @@
 package tcpstack
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // ConnSnapshot is the logical state of one connection — what FT-Linux's
 // TCP-stack replication component maintains on the secondary (§3.4) so
 // that, upon failover, the new primary can bring its own stack to a state
 // indistinguishable from the last externally visible state of the dead
 // primary's stack.
+//
+// A snapshot never aliases a connection's queues: Snapshot returns copies,
+// and Restore copies SndData and RcvData in.
 type ConnSnapshot struct {
 	LocalPort int
 	Remote    Addr
@@ -26,21 +32,18 @@ type ConnSnapshot struct {
 	SndWnd  int
 }
 
-// Snapshot captures the connection's logical state. Buffers are copied.
+// Snapshot captures the connection's logical state. SndData and RcvData
+// are fresh copies the caller owns; the connection's queues are untouched.
 func (c *Conn) Snapshot() ConnSnapshot {
-	snd := make([]byte, len(c.sndBuf))
-	copy(snd, c.sndBuf)
-	rcv := make([]byte, len(c.rcvBuf))
-	copy(rcv, c.rcvBuf)
 	return ConnSnapshot{
 		LocalPort: c.key.localPort,
 		Remote:    c.RemoteAddr(),
 		ISS:       c.iss,
 		IRS:       c.irs,
 		SndUna:    c.sndUna,
-		SndData:   snd,
+		SndData:   bytes.Clone(c.sndBuf.Bytes()),
 		RcvNxt:    c.rcvNxt,
-		RcvData:   rcv,
+		RcvData:   bytes.Clone(c.rcvBuf.Bytes()),
 		PeerFin:   c.peerFin,
 		SndWnd:    c.SndWnd(),
 	}
@@ -51,7 +54,9 @@ func (c *Conn) SndWnd() int { return c.sndWnd }
 
 // Restore materializes an ESTABLISHED connection from a snapshot in this
 // stack — the failover promotion path. The caller should Kick the returned
-// connection once the NIC is operational.
+// connection once the NIC is operational. Restore copies SndData and
+// RcvData into the connection's own queues, so the caller keeps ownership
+// of the snapshot's slices and may pass views of buffers it goes on using.
 func (s *Stack) Restore(cs ConnSnapshot) (*Conn, error) {
 	key := connKey{localPort: cs.LocalPort, remoteHost: cs.Remote.Host, remotePort: cs.Remote.Port}
 	if _, exists := s.conns[key]; exists {
@@ -63,9 +68,9 @@ func (s *Stack) Restore(cs ConnSnapshot) (*Conn, error) {
 	c.sndUna = cs.SndUna
 	c.sndNxt = cs.SndUna
 	c.sndBase = cs.SndUna
-	c.sndBuf = append([]byte(nil), cs.SndData...)
+	c.sndBuf.Write(cs.SndData)
 	c.rcvNxt = cs.RcvNxt
-	c.rcvBuf = append([]byte(nil), cs.RcvData...)
+	c.rcvBuf.Write(cs.RcvData)
 	c.peerFin = cs.PeerFin
 	if c.peerFin {
 		c.state = stateCloseWait

@@ -23,7 +23,7 @@ type pair struct {
 	link           *simnet.Link
 }
 
-func newPair(t *testing.T, seed int64, params Params) *pair {
+func newPair(t testing.TB, seed int64, params Params) *pair {
 	t.Helper()
 	s := sim.New(seed)
 	m := hw.New(s, hw.Opteron6376x4())
