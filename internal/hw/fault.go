@@ -79,7 +79,7 @@ func (m *Machine) Inject(f Fault) {
 }
 
 // InjectAfter schedules a fault injection after delay d.
-func (m *Machine) InjectAfter(d time.Duration, f Fault) *sim.Event {
+func (m *Machine) InjectAfter(d time.Duration, f Fault) sim.Event {
 	return m.sim.Schedule(d, func() { m.Inject(f) })
 }
 

@@ -121,6 +121,48 @@ func TestComputeRoundRobinFairness(t *testing.T) {
 	}
 }
 
+// TestKillMidSliceThenReuseCore kills a task in the middle of a timeslice
+// and then runs two more tasks on the same core. The core's slice record
+// is reused, so the killed slice's expiry must be cancelled: firing at 6ms
+// it would cut the next task's first slice short and hand the core to the
+// queued task 2ms early.
+func TestKillMidSliceThenReuseCore(t *testing.T) {
+	s, k := bootTest(t, 1)
+	victim := k.Spawn("victim", func(tk *Task) {
+		tk.Compute(100 * time.Millisecond)
+		t.Error("killed task finished its compute")
+	})
+	s.Schedule(time.Millisecond, func() { victim.Kill() })
+	var longDone, shortStart, shortDone sim.Time
+	s.Schedule(2*time.Millisecond, func() {
+		k.Spawn("long", func(tk *Task) {
+			tk.Compute(20 * time.Millisecond)
+			longDone = tk.Now()
+		})
+		k.Spawn("short", func(tk *Task) {
+			shortStart = tk.Now()
+			tk.Compute(time.Millisecond)
+			shortDone = tk.Now()
+		})
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !victim.Finished() || k.IdleCores() != 1 {
+		t.Fatalf("victim finished=%v, idle cores %d; want true, 1", victim.Finished(), k.IdleCores())
+	}
+	// long holds the core 2..8ms, short runs 8..9ms, long finishes at 23ms.
+	if shortStart != sim.Time(2*time.Millisecond) || shortDone != sim.Time(9*time.Millisecond) {
+		t.Errorf("short ran %v..%v, want compute ending at 9ms", shortStart, shortDone)
+	}
+	if longDone != sim.Time(23*time.Millisecond) {
+		t.Errorf("long finished at %v, want 23ms", longDone)
+	}
+	if s.Pending() != 0 {
+		t.Errorf("%d events left pending", s.Pending())
+	}
+}
+
 func TestDispatchPenaltyOnIdleCore(t *testing.T) {
 	s, k := bootTest(t, 1)
 	k.params.ContextSwitch = time.Microsecond

@@ -35,16 +35,19 @@ type scheduler struct {
 	// arrival with no idle core preempts a running batch task mid-quantum.
 	boostq  []*Task
 	runq    []*Task
-	running map[int]*runSlice // core -> current timeslice
+	slices  []runSlice  // one reusable timeslice record per core
+	running []*runSlice // core -> current timeslice, nil while none runs
 }
 
-// runSlice is one task's current occupancy of a core.
+// runSlice is one task's current occupancy of a core. Each core reuses one
+// record, whose expiry callback is bound once.
 type runSlice struct {
 	t         *Task
 	core      int
 	batch     bool
 	start     sim.Time
-	timer     *sim.Event
+	timer     sim.Event
+	expire    func()
 	finished  bool
 	preempted bool
 }
@@ -54,7 +57,13 @@ func newScheduler(k *Kernel, ncores int) *scheduler {
 		k:         k,
 		ncores:    ncores,
 		idleSince: make([]sim.Time, ncores),
-		running:   make(map[int]*runSlice),
+		slices:    make([]runSlice, ncores),
+		running:   make([]*runSlice, ncores),
+	}
+	for c := range s.slices {
+		sl := &s.slices[c]
+		sl.core = c
+		sl.expire = sl.onExpire
 	}
 	for c := ncores - 1; c >= 0; c-- {
 		s.idle = append(s.idle, c)
@@ -163,25 +172,33 @@ func (t *Task) Compute(d time.Duration) {
 // actually run: a batch slice ends early when a freshly woken task preempts
 // it.
 func (s *scheduler) runSliceFor(t *Task, core int, q time.Duration, batch bool) time.Duration {
-	slice := &runSlice{t: t, core: core, batch: batch, start: s.k.sim.Now()}
+	slice := &s.slices[core]
+	slice.t, slice.batch, slice.start = t, batch, s.k.sim.Now()
+	slice.finished, slice.preempted = false, false
 	s.running[core] = slice
 	defer func() {
-		delete(s.running, core)
+		s.running[core] = nil
 		if r := recover(); r != nil {
-			// The task was killed mid-slice: free the core as we unwind.
+			// The task was killed mid-slice: cancel the expiry, so the
+			// core's next slice never sees it, and free the core as we
+			// unwind.
+			slice.timer.Cancel()
 			s.release(core)
 			panic(r)
 		}
 	}()
-	slice.timer = s.k.sim.Schedule(q, func() {
-		if slice.finished {
-			return
-		}
-		slice.finished = true
-		t.wakeQ.WakeOne(0)
-	})
+	slice.timer = s.k.sim.Schedule(q, slice.expire)
 	t.wakeQ.Wait(t.proc)
 	return s.k.sim.Now().Sub(slice.start)
+}
+
+// onExpire ends the slice when its quantum runs out.
+func (sl *runSlice) onExpire() {
+	if sl.finished {
+		return
+	}
+	sl.finished = true
+	sl.t.wakeQ.WakeOne(0)
 }
 
 // preemptBatch interrupts the longest-running batch slice, if any,
@@ -189,7 +206,7 @@ func (s *scheduler) runSliceFor(t *Task, core int, q time.Duration, batch bool) 
 func (s *scheduler) preemptBatch() bool {
 	var victim *runSlice
 	for _, sl := range s.running {
-		if sl.batch && !sl.finished && !sl.preempted &&
+		if sl != nil && sl.batch && !sl.finished && !sl.preempted &&
 			(victim == nil || sl.start < victim.start || (sl.start == victim.start && sl.core < victim.core)) {
 			victim = sl
 		}

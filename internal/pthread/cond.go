@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/sim"
 )
 
 // cvWaiter is one task blocked in cond_wait/cond_timedwait.
@@ -60,7 +61,7 @@ func (c *Cond) wait(t *kernel.Task, m *Mutex, d time.Duration) uint64 {
 		c.waiters = append(c.waiters, cw)
 	})
 	m.Unlock(t)
-	var timer interface{ Cancel() }
+	var timer sim.Event
 	if d >= 0 {
 		timer = c.lib.kern.Sim().Schedule(d, func() {
 			if cw.state != 0 || cw.timerFired {
@@ -73,9 +74,7 @@ func (c *Cond) wait(t *kernel.Task, m *Mutex, d time.Duration) uint64 {
 	out := c.lib.det.Resolve(t, OpCondResolve, c.id,
 		func() { cw.w.parkUntilGranted() },
 		func() uint64 { return c.settle(cw) })
-	if timer != nil {
-		timer.Cancel()
-	}
+	timer.Cancel()
 	m.Lock(t)
 	return out
 }

@@ -109,7 +109,7 @@ func (s Stats) add(o Stats) Stats {
 // capacity while propagating and then vanishes instead of delivering.
 type inflight struct {
 	msgs   []Message
-	ev     *sim.Event
+	ev     sim.Event
 	bytes  int64
 	doomed bool
 }

@@ -22,6 +22,16 @@ func (p procPanic) String() string {
 	return fmt.Sprintf("sim: process %q panicked: %v\n%s", p.proc, p.value, p.stack)
 }
 
+// parkState records what a blocked process is parked on, so Kill can
+// unpark it without a per-block closure.
+type parkState uint8
+
+const (
+	notParked parkState = iota // running, runnable, or not yet started
+	sleeping                   // in Sleep; timer is the wake-up
+	waiting                    // on wq; timer is the timeout, if any
+)
+
 // Proc is a simulated process: a goroutine that runs under the simulation
 // scheduler. At most one Proc executes at any moment; a Proc advances virtual
 // time only by blocking (Sleep, WaitQueue.Wait, ...). All Proc methods must
@@ -34,10 +44,10 @@ type Proc struct {
 	killed   bool
 	finished bool
 
-	// unblock, when non-nil, makes a blocked process runnable immediately:
-	// it removes the process from whatever structure it is parked on and
-	// schedules a resume. It is used by Kill to unwind blocked processes.
-	unblock func()
+	parked   parkState
+	wq       *WaitQueue // queue the process waits on while waiting
+	timer    Event      // pending sleep wake-up or wait timeout
+	timedOut bool       // the last WaitTimeout expired
 }
 
 // Spawn starts fn as a new simulated process that begins running at the
@@ -83,7 +93,7 @@ func (p *Proc) main(fn func(p *Proc)) {
 	if p.group != nil {
 		p.group.procDone(p)
 	}
-	p.sim.yield <- struct{}{}
+	p.sim.pass(nil)
 }
 
 // Sim returns the simulation the process belongs to.
@@ -102,33 +112,21 @@ func (p *Proc) Killed() bool { return p.killed }
 // Finished reports whether the process function has returned or unwound.
 func (p *Proc) Finished() bool { return p.finished }
 
-// yield transfers control back to the scheduler and blocks until the process
-// is resumed. If the process was killed in the meantime it unwinds.
-func (p *Proc) yield() {
-	p.sim.yield <- struct{}{}
-	<-p.resume
+// block parks the process until it is resumed. Its park state must already
+// be set. If the process was killed in the meantime it unwinds.
+func (p *Proc) block() {
+	p.sim.pass(p)
 	if p.killed {
 		panic(killedPanic{})
 	}
 }
 
 // makeRunnable schedules the process to resume after delay d and clears its
-// blocked state. Called from scheduler or another process context.
+// park state. Called from scheduler or another process context.
 func (p *Proc) makeRunnable(d time.Duration) {
-	p.unblock = nil
-	p.sim.Schedule(d, func() {
-		if p.finished {
-			return
-		}
-		p.sim.switchTo(p)
-	})
-}
-
-// park blocks the process. unblock must make the process runnable again and
-// is invoked by Kill if the process is killed while parked.
-func (p *Proc) park(unblock func()) {
-	p.unblock = unblock
-	p.yield()
+	p.parked = notParked
+	p.wq = nil
+	p.sim.push(p.sim.now.Add(d), evResume, p, nil)
 }
 
 // Sleep blocks the process for duration d of virtual time.
@@ -136,18 +134,9 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v in process %q", d, p.name))
 	}
-	done := false
-	e := p.sim.Schedule(d, func() {
-		done = true
-		p.sim.switchTo(p)
-	})
-	p.park(func() {
-		if !done {
-			e.Cancel()
-			p.makeRunnable(0)
-		}
-	})
-	p.unblock = nil
+	p.timer = p.sim.push(p.sim.now.Add(d), evResume, p, nil)
+	p.parked = sleeping
+	p.block()
 }
 
 // Kill marks the process as killed and, if it is parked, unparks it so the
@@ -160,10 +149,14 @@ func (p *Proc) Kill() {
 		return
 	}
 	p.killed = true
-	if p.unblock != nil {
-		ub := p.unblock
-		p.unblock = nil
-		ub()
+	switch p.parked {
+	case sleeping:
+		p.timer.Cancel()
+		p.makeRunnable(0)
+	case waiting:
+		p.wq.remove(p)
+		p.timer.Cancel()
+		p.makeRunnable(0)
 	}
 }
 

@@ -6,15 +6,25 @@
 // deterministic for a given seed: running it twice produces the identical
 // sequence of events, context switches, and random numbers.
 //
+// Control is a baton. Whichever goroutine holds it — the caller of Run or
+// RunUntil, or the process that is running — pops events and runs their
+// callbacks. A process that blocks keeps the baton and pops on its own
+// behalf: if the next resumption is its own it simply returns, otherwise it
+// hands the baton straight to the process that resumes, or back to the Run
+// caller at the horizon, on Stop, or on a failure. The event queue is a
+// 4-ary heap of value entries ordered by (time, sequence number), and a
+// process carries its own park state, so scheduling a callback, sleeping,
+// waking and timing out allocate nothing once the queue has grown.
+//
 // Everything else in this repository — the simulated hardware, the kernels,
 // the replication protocol, and the benchmark workloads — is built on this
 // package.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -37,56 +47,111 @@ func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled callback. It can be cancelled before it fires.
+// Event is a handle to a scheduled callback. It is a small value: copy it
+// freely. The zero Event is inert. A handle names its event by sequence
+// number, which is never reused, so a handle kept after its event fired or
+// was cancelled can never touch a later event that reuses the slot.
 type Event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	cancelled bool
-	index     int // heap index, -1 once popped or cancelled-and-removed
+	s    *Simulation
+	at   Time
+	seq  uint64
+	slot int32
 }
 
 // At reports the virtual time at which the event fires.
-func (e *Event) At() Time { return e.at }
+func (e Event) At() Time { return e.at }
+
+// Pending reports whether the event is still scheduled: it has neither
+// fired (its callback has not started) nor been cancelled.
+func (e Event) Pending() bool { return e.s != nil && e.s.slots[e.slot].seq == e.seq }
 
 // Cancel prevents the event from firing. Cancelling an event that already
-// fired or was already cancelled is a no-op.
-func (e *Event) Cancel() { e.cancelled = true }
-
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// fired or was already cancelled, or the zero Event, is a no-op.
+func (e Event) Cancel() {
+	if e.Pending() {
+		e.s.freeSlot(e.slot)
 	}
-	return h[i].seq < h[j].seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// eventKind tags what a slot does when its event fires.
+type eventKind uint8
+
+const (
+	evFunc    eventKind = iota // run fn
+	evResume                   // resume p: spawn, wake-up or sleep expiry
+	evTimeout                  // p's WaitTimeout expired
+)
+
+// slot holds a pending event's action. seq names the event that occupies
+// it (0 when free); a heap entry or handle with another seq is stale.
+type slot struct {
+	seq  uint64
+	fn   func()
+	p    *Proc
+	kind eventKind
 }
 
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+// entry is one element of the event heap. A cancelled event's entry stays
+// in the heap until it reaches the top and is dropped there, as its slot
+// no longer carries its seq.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot int32
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+func (a entry) before(b entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// eventHeap is a 4-ary min-heap on (at, seq). Its entries are distinct, so
+// any correct heap pops them in the same order.
+type eventHeap []entry
+
+func (h *eventHeap) push(e entry) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !e.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+	*h = q
+}
+
+// popMin removes the minimum entry.
+func (h *eventHeap) popMin() {
+	q := *h
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		best := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if q[c].before(q[best]) {
+				best = c
+			}
+		}
+		if !q[best].before(last) {
+			break
+		}
+		q[i] = q[best]
+		i = best
+	}
+	q[i] = last
 }
 
 // ErrStopped is returned by Run when the simulation was halted by Stop.
@@ -97,13 +162,16 @@ var ErrStopped = errors.New("sim: stopped")
 // it is driven from a single goroutine by Run or RunUntil.
 type Simulation struct {
 	now      Time
-	events   eventHeap
+	heap     eventHeap
+	slots    []slot
+	free     []int32 // free slot indices
+	live     int     // scheduled, uncancelled events
 	seq      uint64
 	rng      *rand.Rand
-	yield    chan struct{}
-	current  *Proc
+	until    Time          // horizon of the current Run/RunUntil
+	handback chan struct{} // returns the baton to the Run caller
 	stopped  bool
-	failure  any // panic value propagated from a proc
+	failure  any // panic value to re-raise on the Run caller's goroutine
 	liveProc int
 
 	// OnSwitch, if non-nil, is invoked on every context switch to a process
@@ -115,8 +183,8 @@ type Simulation struct {
 // New returns a simulation whose random source is seeded with seed.
 func New(seed int64) *Simulation {
 	return &Simulation{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
+		rng:      rand.New(rand.NewSource(seed)),
+		handback: make(chan struct{}),
 	}
 }
 
@@ -127,36 +195,49 @@ func (s *Simulation) Now() Time { return s.now }
 func (s *Simulation) Rand() *rand.Rand { return s.rng }
 
 // Pending reports the number of scheduled (uncancelled) events.
-func (s *Simulation) Pending() int {
-	n := 0
-	for _, e := range s.events {
-		if !e.cancelled {
-			n++
-		}
-	}
-	return n
-}
+func (s *Simulation) Pending() int { return s.live }
 
 // Live reports the number of processes that have been spawned and have not
 // yet finished.
 func (s *Simulation) Live() int { return s.liveProc }
 
-// Schedule arranges for fn to run at virtual time now+d on the scheduler
-// goroutine. It must not block; to do blocking work, spawn a Proc instead.
-func (s *Simulation) Schedule(d time.Duration, fn func()) *Event {
-	return s.ScheduleAt(s.now.Add(d), fn)
+// Schedule arranges for fn to run at virtual time now+d. It must not
+// block; to do blocking work, spawn a Proc instead.
+func (s *Simulation) Schedule(d time.Duration, fn func()) Event {
+	return s.push(s.now.Add(d), evFunc, nil, fn)
 }
 
 // ScheduleAt is like Schedule but takes an absolute instant. Scheduling in
 // the past panics: it would violate causality.
-func (s *Simulation) ScheduleAt(at Time, fn func()) *Event {
+func (s *Simulation) ScheduleAt(at Time, fn func()) Event {
+	return s.push(at, evFunc, nil, fn)
+}
+
+// push schedules one event. Every event, whatever its kind, takes the next
+// sequence number, which breaks ties between events at the same instant.
+func (s *Simulation) push(at Time, kind eventKind, p *Proc, fn func()) Event {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: at=%v now=%v", at, s.now))
 	}
 	s.seq++
-	e := &Event{at: at, seq: s.seq, fn: fn}
-	heap.Push(&s.events, e)
-	return e
+	var i int32
+	if n := len(s.free); n > 0 {
+		i = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		i = int32(len(s.slots))
+		s.slots = append(s.slots, slot{})
+	}
+	s.slots[i] = slot{seq: s.seq, fn: fn, p: p, kind: kind}
+	s.live++
+	s.heap.push(entry{at: at, seq: s.seq, slot: i})
+	return Event{s: s, at: at, seq: s.seq, slot: i}
+}
+
+func (s *Simulation) freeSlot(i int32) {
+	s.slots[i] = slot{}
+	s.free = append(s.free, i)
+	s.live--
 }
 
 // Stop halts the simulation: Run returns ErrStopped once the currently
@@ -168,13 +249,13 @@ func (s *Simulation) Stop() { s.stopped = true }
 // note naming the process). Processes blocked on wait queues with no pending
 // wake-up are left parked; callers can detect that via Live.
 func (s *Simulation) Run() error {
-	return s.run(func() bool { return false })
+	return s.run(math.MaxInt64)
 }
 
 // RunUntil processes events with firing time <= t, then advances the clock
 // to exactly t and returns. Events scheduled after t remain pending.
 func (s *Simulation) RunUntil(t Time) error {
-	err := s.run(func() bool { return len(s.events) > 0 && s.events[0].at > t })
+	err := s.run(t)
 	if err == nil && s.now < t && !s.stopped {
 		s.now = t
 	}
@@ -184,28 +265,18 @@ func (s *Simulation) RunUntil(t Time) error {
 // RunFor is shorthand for RunUntil(Now()+d).
 func (s *Simulation) RunFor(d time.Duration) error { return s.RunUntil(s.now.Add(d)) }
 
-func (s *Simulation) run(stop func() bool) error {
-	for len(s.events) > 0 {
-		if s.stopped {
-			return ErrStopped
-		}
-		if stop() {
-			return nil
-		}
-		e := heap.Pop(&s.events).(*Event)
-		if e.cancelled {
-			continue
-		}
-		if e.at < s.now {
-			panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", e.at, s.now))
-		}
-		s.now = e.at
-		e.fn()
-		if s.failure != nil {
-			f := s.failure
-			s.failure = nil
-			panic(f)
-		}
+// run takes the baton on the caller's goroutine and returns once it comes
+// back. A callback that panics here propagates directly; a failure raised
+// on a process goroutine is re-raised here.
+func (s *Simulation) run(until Time) error {
+	s.until = until
+	if p := s.next(); p != nil {
+		p.resume <- struct{}{}
+		<-s.handback
+	}
+	if f := s.failure; f != nil {
+		s.failure = nil
+		panic(f)
 	}
 	if s.stopped {
 		return ErrStopped
@@ -213,15 +284,78 @@ func (s *Simulation) run(stop func() bool) error {
 	return nil
 }
 
-// switchTo transfers control to p and waits for it to block or finish.
-// It must only be called from the scheduler goroutine (inside an event).
-func (s *Simulation) switchTo(p *Proc) {
-	prev := s.current
-	s.current = p
-	if s.OnSwitch != nil {
-		s.OnSwitch(s.now, p.name)
+// next runs events on the goroutine holding the baton until a process must
+// resume, and returns that process (already announced to OnSwitch). It
+// returns nil when the baton belongs to the Run caller: the queue is empty,
+// the next event lies past the horizon, Stop was called, or a process
+// failed.
+func (s *Simulation) next() *Proc {
+	for len(s.heap) > 0 && !s.stopped && s.failure == nil {
+		e := s.heap[0]
+		if e.at > s.until {
+			return nil
+		}
+		s.heap.popMin()
+		sl := s.slots[e.slot]
+		if sl.seq != e.seq {
+			continue // cancelled
+		}
+		if e.at < s.now {
+			panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", e.at, s.now))
+		}
+		s.now = e.at
+		s.freeSlot(e.slot)
+		p := sl.p
+		switch sl.kind {
+		case evFunc:
+			sl.fn()
+		case evTimeout:
+			if !p.wq.remove(p) {
+				continue
+			}
+			p.timedOut = true
+			p.makeRunnable(0)
+		case evResume:
+			if p.finished {
+				continue
+			}
+			p.parked = notParked
+			if s.OnSwitch != nil {
+				s.OnSwitch(s.now, p.name)
+			}
+			return p
+		}
 	}
-	p.resume <- struct{}{}
-	<-s.yield
-	s.current = prev
+	return nil
+}
+
+// pass is next for a process goroutine, which then hands the baton on.
+// self is the process that just blocked, or nil for one that finished.
+// pass returns once self holds the baton again; with self nil it returns
+// as soon as the baton has left. A callback that panics on a process
+// goroutine stops the run: its value is re-raised by Run on the caller's
+// goroutine.
+func (s *Simulation) pass(self *Proc) {
+	next := s.nextRecover()
+	if next != nil && next == self {
+		return
+	}
+	if next != nil {
+		next.resume <- struct{}{}
+	} else {
+		s.handback <- struct{}{}
+	}
+	if self != nil {
+		<-self.resume
+	}
+}
+
+func (s *Simulation) nextRecover() (p *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.failure = r
+			p = nil
+		}
+	}()
+	return s.next()
 }

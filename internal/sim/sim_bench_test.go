@@ -27,3 +27,30 @@ func BenchmarkSimSchedule(b *testing.B) {
 		b.Fatalf("fired %d of %d events", fired, b.N)
 	}
 }
+
+// BenchmarkProcSwitch measures a process park/resume: two processes
+// ping-pong through a WaitQueue, so each op is one wake-up, one park and
+// one hand-off from one process goroutine to the other.
+func BenchmarkProcSwitch(b *testing.B) {
+	s := New(1)
+	q := NewWaitQueue(s)
+	n := 0
+	body := func(p *Proc) {
+		for n < b.N {
+			n++
+			q.WakeOne(0)
+			q.Wait(p)
+		}
+		q.WakeAll(0)
+	}
+	s.Spawn("ping", body)
+	s.Spawn("pong", body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if s.Live() != 0 {
+		b.Fatalf("%d processes still parked", s.Live())
+	}
+}

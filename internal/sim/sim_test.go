@@ -53,8 +53,8 @@ func TestEventCancel(t *testing.T) {
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
+	if e.Pending() {
+		t.Error("Pending() = true after Cancel")
 	}
 }
 

@@ -110,42 +110,46 @@ func TestWakeOneEmptyQueue(t *testing.T) {
 	}
 }
 
+// randomWorkload runs eight processes that sleep, wake and wait with
+// timeouts at random, and returns the full context-switch trace.
+func randomWorkload(t *testing.T, seed int64) []string {
+	t.Helper()
+	s := New(seed)
+	var trace []string
+	s.OnSwitch = func(at Time, name string) {
+		trace = append(trace, at.String()+"/"+name)
+	}
+	q := NewWaitQueue(s)
+	for i := 0; i < 8; i++ {
+		name := string(rune('a' + i))
+		s.Spawn(name, func(p *Proc) {
+			for j := 0; j < 20; j++ {
+				switch p.Sim().Rand().Intn(3) {
+				case 0:
+					p.Sleep(time.Duration(p.Sim().Rand().Intn(1000)) * time.Microsecond)
+				case 1:
+					if q.Len() > 0 {
+						q.WakeOne(time.Duration(p.Sim().Rand().Intn(100)) * time.Microsecond)
+					}
+					p.Sleep(time.Microsecond)
+				case 2:
+					q.WaitTimeout(p, time.Duration(p.Sim().Rand().Intn(2000))*time.Microsecond)
+				}
+			}
+		})
+	}
+	s.Schedule(time.Second, func() { q.WakeAll(0) })
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return trace
+}
+
 // TestDeterminism runs a randomized workload twice with the same seed and
 // requires the full context-switch traces to be identical.
 func TestDeterminism(t *testing.T) {
-	run := func(seed int64) []string {
-		s := New(seed)
-		var trace []string
-		s.OnSwitch = func(at Time, name string) {
-			trace = append(trace, at.String()+"/"+name)
-		}
-		q := NewWaitQueue(s)
-		for i := 0; i < 8; i++ {
-			name := string(rune('a' + i))
-			s.Spawn(name, func(p *Proc) {
-				for j := 0; j < 20; j++ {
-					switch p.Sim().Rand().Intn(3) {
-					case 0:
-						p.Sleep(time.Duration(p.Sim().Rand().Intn(1000)) * time.Microsecond)
-					case 1:
-						if q.Len() > 0 {
-							q.WakeOne(time.Duration(p.Sim().Rand().Intn(100)) * time.Microsecond)
-						}
-						p.Sleep(time.Microsecond)
-					case 2:
-						q.WaitTimeout(p, time.Duration(p.Sim().Rand().Intn(2000))*time.Microsecond)
-					}
-				}
-			})
-		}
-		s.Schedule(time.Second, func() { q.WakeAll(0) })
-		if err := s.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return trace
-	}
 	for seed := int64(1); seed <= 5; seed++ {
-		a, b := run(seed), run(seed)
+		a, b := randomWorkload(t, seed), randomWorkload(t, seed)
 		if len(a) != len(b) {
 			t.Fatalf("seed %d: trace lengths differ: %d vs %d", seed, len(a), len(b))
 		}

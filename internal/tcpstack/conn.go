@@ -73,7 +73,7 @@ type Conn struct {
 
 	// Retransmission.
 	rto      time.Duration
-	rtoTimer *sim.Event
+	rtoTimer sim.Event
 	synTries int
 
 	listener *Listener // set while pending accept (server side)
@@ -176,24 +176,20 @@ func (c *Conn) trySend() {
 }
 
 func (c *Conn) armRTO() {
-	if c.rtoTimer != nil {
+	if c.rtoTimer.Pending() {
 		return
 	}
 	c.rtoTimer = c.stack.kern.Sim().Schedule(c.rto, c.onRTO)
 }
 
 func (c *Conn) resetRTO() {
-	if c.rtoTimer != nil {
-		c.rtoTimer.Cancel()
-		c.rtoTimer = nil
-	}
+	c.rtoTimer.Cancel()
 	if c.sndUna < c.sndNxt {
 		c.armRTO()
 	}
 }
 
 func (c *Conn) onRTO() {
-	c.rtoTimer = nil
 	switch c.state {
 	case stateClosed, stateTimeWait:
 		return
@@ -390,10 +386,7 @@ func (c *Conn) enterTimeWait() {
 func (c *Conn) reap() {
 	c.state = stateClosed
 	c.releaseQueues()
-	if c.rtoTimer != nil {
-		c.rtoTimer.Cancel()
-		c.rtoTimer = nil
-	}
+	c.rtoTimer.Cancel()
 	delete(c.stack.conns, c.key)
 	if c.stack.OnReaped != nil {
 		c.stack.OnReaped(c)
